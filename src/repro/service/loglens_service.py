@@ -613,8 +613,11 @@ class LogLensService:
         #: Latest anomaly timestamp seen — the log-time fallback clock
         #: when no parsed record has fed the heartbeat controller yet.
         self._last_anomaly_millis: Optional[int] = None
-        #: Timestamp-less anomaly docs held until the end of the step
-        #: (stamped with log-time "now" by _flush_unstamped_anomalies).
+        #: Anomaly docs the sinks received this step, stored with one
+        #: insert by _flush_anomalies at the end of the step.
+        self._pending_anomalies: List[Dict[str, Any]] = []
+        #: Timestamp-less anomaly docs, stamped with log-time "now" and
+        #: stored after the pending ones by _flush_anomalies.
         self._unstamped_anomalies: List[Dict[str, Any]] = []
         self._parsed_buffer: List[StreamRecord] = []
         # Second list recycled against _parsed_buffer each step, so the
@@ -677,27 +680,35 @@ class LogLensService:
             # stamp it with that.
             self._unstamped_anomalies.append(doc)
             return
-        self.anomaly_storage.store(doc)
+        self._pending_anomalies.append(doc)
         if (
             self._last_anomaly_millis is None
             or ts > self._last_anomaly_millis
         ):
             self._last_anomaly_millis = ts
 
-    def _flush_unstamped_anomalies(self) -> None:
-        """Store held timestamp-less anomalies at log-time "now"."""
-        if not self._unstamped_anomalies:
-            return
-        now = self.log_time_now()
-        for doc in self._unstamped_anomalies:
-            doc["timestamp_millis"] = now
-            self.anomaly_storage.store(doc)
-        self._unstamped_anomalies.clear()
-        if now is not None and (
-            self._last_anomaly_millis is None
-            or now > self._last_anomaly_millis
-        ):
-            self._last_anomaly_millis = now
+    def _flush_anomalies(self) -> List[Dict[str, Any]]:
+        """Store the step's anomaly docs with one insert; returns them.
+
+        Timestamp-less docs are stamped with log-time "now" and stored
+        after the timestamped ones, each group in sink order.
+        """
+        if self._unstamped_anomalies:
+            now = self.log_time_now()
+            for doc in self._unstamped_anomalies:
+                doc["timestamp_millis"] = now
+            self._pending_anomalies.extend(self._unstamped_anomalies)
+            self._unstamped_anomalies.clear()
+            if now is not None and (
+                self._last_anomaly_millis is None
+                or now > self._last_anomaly_millis
+            ):
+                self._last_anomaly_millis = now
+        docs = self._pending_anomalies
+        if docs:
+            self.anomaly_storage.store_many(docs)
+            self._pending_anomalies = []
+        return docs
 
     def _buffer_parsed(self, record: StreamRecord) -> None:
         self._parsed_buffer.append(record)
@@ -775,50 +786,57 @@ class LogLensService:
     def step(self, max_records: int = 100000) -> StepReport:
         """Advance one end-to-end micro-batch period."""
         self._steps += 1
-        before_anomalies = self.anomaly_storage.count()
-
-        self.log_manager.cycle()
-        messages = self._ingest_consumer.poll_many(max_records=max_records)
-        parse_batch = [
-            StreamRecord(value=m.value, key=m.key, source=m.value["source"])
-            for m in messages
-        ]
-        parse_metrics = self.parse_ctx.run_batch(parse_batch)
-        # Publish the per-worker parsers' deferred metrics; the workers
-        # are idle between run_batch calls, so this races with nothing.
-        for worker in self.parse_ctx.workers:
-            parser = getattr(worker, "_loglens_parser", None)
-            if parser is not None:
-                parser.flush_metrics()
-
-        parsed_records = self._parsed_buffer
-        spare = self._parsed_spare
-        spare.clear()
-        self._parsed_buffer = spare
-        self._parsed_spare = parsed_records
-        for record in parsed_records:
-            self.heartbeat_controller.observe(
-                record.source or "unknown", record.timestamp_millis
+        try:
+            self.log_manager.cycle()
+            messages = self._ingest_consumer.poll_many(
+                max_records=max_records
             )
+            parse_batch = [
+                StreamRecord(
+                    value=m.value, key=m.key, source=m.value["source"]
+                )
+                for m in messages
+            ]
+            parse_metrics = self.parse_ctx.run_batch(parse_batch)
+            # Publish the per-worker parsers' deferred metrics; the
+            # workers are idle between run_batch calls, so this races
+            # with nothing.
+            for worker in self.parse_ctx.workers:
+                parser = getattr(worker, "_loglens_parser", None)
+                if parser is not None:
+                    parser.flush_metrics()
 
-        heartbeats: List[StreamRecord] = []
-        if (
-            self.heartbeats_enabled
-            and self._steps % self.heartbeat_period_steps == 0
-        ):
-            heartbeats = self.heartbeat_controller.tick()
+            parsed_records = self._parsed_buffer
+            spare = self._parsed_spare
+            spare.clear()
+            self._parsed_buffer = spare
+            self._parsed_spare = parsed_records
+            for record in parsed_records:
+                self.heartbeat_controller.observe(
+                    record.source or "unknown", record.timestamp_millis
+                )
 
-        seq_batch = [
-            StreamRecord(
-                value=r.value,
-                key=self._event_key(r.value),
-                source=r.source,
-                timestamp_millis=r.timestamp_millis,
-            )
-            for r in parsed_records
-        ] + heartbeats
-        seq_metrics = self.seq_ctx.run_batch(seq_batch)
-        self._flush_unstamped_anomalies()
+            heartbeats: List[StreamRecord] = []
+            if (
+                self.heartbeats_enabled
+                and self._steps % self.heartbeat_period_steps == 0
+            ):
+                heartbeats = self.heartbeat_controller.tick()
+
+            seq_batch = [
+                StreamRecord(
+                    value=r.value,
+                    key=self._event_key(r.value),
+                    source=r.source,
+                    timestamp_millis=r.timestamp_millis,
+                )
+                for r in parsed_records
+            ] + heartbeats
+            seq_metrics = self.seq_ctx.run_batch(seq_batch)
+        finally:
+            # When a stage raises, the docs its sinks already received
+            # are still stored, exactly once.
+            stored = self._flush_anomalies()
 
         # Alerting rides the heartbeat cycle: rules see every anomaly
         # this step stored, at the extrapolated log-time "now".  With no
@@ -833,17 +851,12 @@ class LogLensService:
                 self.alert_evaluator.evaluate(self.log_time_now())
             )
 
-        after = self.anomaly_storage.count()
-        stateless = sum(
-            1
-            for d in self.anomaly_storage.all()[before_anomalies:]
-            if d["type"] == "unparsed_log"
-        )
+        stateless = sum(1 for d in stored if d["type"] == "unparsed_log")
         return StepReport(
             ingested=len(parse_batch),
             parsed=len(parsed_records),
             stateless_anomalies=stateless,
-            sequence_anomalies=(after - before_anomalies) - stateless,
+            sequence_anomalies=len(stored) - stateless,
             heartbeats=len(heartbeats),
             model_updates_applied=(
                 parse_metrics.model_updates_applied
@@ -915,16 +928,15 @@ class LogLensService:
         Equivalent to heartbeats arbitrarily far in the future; used when a
         replayed dataset ends and remaining open states must be judged.
         """
-        self._flush_unstamped_anomalies()
-        count = 0
+        self._flush_anomalies()
+        flushed: List[Dict[str, Any]] = []
         for partition_id in range(self.seq_ctx.num_partitions):
-            flushed = self.seq_ctx.call_partition(
-                partition_id, _partition_flush
+            flushed.extend(
+                self.seq_ctx.call_partition(partition_id, _partition_flush)
             )
-            for anomaly_dict in flushed:
-                self.anomaly_storage.store(anomaly_dict)
-                count += 1
-        return count
+        if flushed:
+            self.anomaly_storage.store_many(flushed)
+        return len(flushed)
 
     # ------------------------------------------------------------------
     # Checkpoint / recovery — Section V-A: "if a stateful Spark streaming

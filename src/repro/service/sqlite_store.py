@@ -273,7 +273,12 @@ class SQLiteDocumentStore:
                 column = info[1]
                 if column not in ("_id", "_doc"):
                     self._columns[column] = _quote(column)
-            self._g_docs.set(self._count_locked())
+            # Counted once here, then kept by insert_many/clear: this
+            # store is the table's only writer (see docs/STORAGE.md).
+            self._count = self._db.execute(
+                "SELECT COUNT(*) FROM %s" % self._table
+            ).fetchone()[0]
+            self._g_docs.set(self._count)
 
     # ------------------------------------------------------------------
     # Write path
@@ -324,7 +329,8 @@ class SQLiteDocumentStore:
                         (next_id, self.name),
                     )
             self._next_id = next_id
-            self._g_docs.set(self._count_locked())
+            self._count += len(batch)
+            self._g_docs.set(self._count)
         return ids
 
     def _learn_fields(self, batch: List[Dict[str, Any]]) -> bool:
@@ -377,45 +383,61 @@ class SQLiteDocumentStore:
         with self._db.lock:
             if self._needs_fallback(match, range_):
                 return self._scan(match, range_, limit)
-            where: List[str] = []
-            args: List[Any] = []
-            order = "_id"
-            if match:
-                for fname, value in match.items():
-                    if fname not in self._columns:
-                        if value is None:
-                            continue  # no doc has the field; None matches
-                        return []
-                    self._ensure_index(fname)
-                    column = self._columns[fname]
-                    if value is None:
-                        where.append("%s IS NULL" % column)
-                    else:
-                        where.append("%s = ?" % column)
-                        args.append(value)
-            if range_ is not None:
-                fname, lo, hi = range_
-                if fname not in self._columns:
-                    return []
-                self._ensure_index(fname)
-                column = self._columns[fname]
-                where.append("%s IS NOT NULL" % column)
-                if lo is not None:
-                    where.append("%s >= ?" % column)
-                    args.append(lo)
-                if hi is not None:
-                    where.append("%s <= ?" % column)
-                    args.append(hi)
-                order = "%s, _id" % column
-            sql = "SELECT _doc FROM %s" % self._table
-            if where:
-                sql += " WHERE " + " AND ".join(where)
-            sql += " ORDER BY " + order
+            clause = self._where(match, range_)
+            if clause is None:
+                return []
+            where, args = clause
+            sql = "SELECT _doc FROM %s%s ORDER BY %s" % (
+                self._table,
+                where,
+                "_id" if range_ is None
+                else "%s, _id" % self._columns[range_[0]],
+            )
             if limit is not None:
                 sql += " LIMIT ?"
                 args.append(limit)
             rows = self._db.execute(sql, args).fetchall()
             return [self._decode(row[0]) for row in rows]
+
+    def _where(
+        self,
+        match: Optional[Dict[str, Any]],
+        range_: Optional[Tuple[str, Optional[float], Optional[float]]],
+    ) -> Optional[Tuple[str, List[Any]]]:
+        """The ``(" WHERE ...", args)`` of an indexed query (lock held).
+
+        ``None`` when no document can match (a probed field has no
+        column); the WHERE text is empty when every document matches.
+        """
+        where: List[str] = []
+        args: List[Any] = []
+        if match:
+            for fname, value in match.items():
+                if fname not in self._columns:
+                    if value is None:
+                        continue  # no doc has the field; None matches
+                    return None
+                self._ensure_index(fname)
+                column = self._columns[fname]
+                if value is None:
+                    where.append("%s IS NULL" % column)
+                else:
+                    where.append("%s = ?" % column)
+                    args.append(value)
+        if range_ is not None:
+            fname, lo, hi = range_
+            if fname not in self._columns:
+                return None
+            self._ensure_index(fname)
+            column = self._columns[fname]
+            where.append("%s IS NOT NULL" % column)
+            if lo is not None:
+                where.append("%s >= ?" % column)
+                args.append(lo)
+            if hi is not None:
+                where.append("%s <= ?" % column)
+                args.append(hi)
+        return (" WHERE " + " AND ".join(where) if where else ""), args
 
     def distinct(self, field: str) -> List[Any]:
         """Distinct values of ``field`` in first-insertion order."""
@@ -428,7 +450,7 @@ class SQLiteDocumentStore:
                         seen.append(value)
                 return seen
             if field not in self._columns:
-                return [None] if self._count_locked() else []
+                return [None] if self._count else []
             column = self._columns[field]
             rows = self._db.execute(
                 "SELECT %s, MIN(_id) AS first FROM %s "
@@ -437,10 +459,19 @@ class SQLiteDocumentStore:
             return [row[0] for row in rows]
 
     def count(self, match: Optional[Dict[str, Any]] = None) -> int:
-        if match is None:
-            with self._db.lock:
-                return self._count_locked()
-        return len(self.query(match=match))
+        """Document count; ``match`` is counted in SQL, never decoded."""
+        with self._db.lock:
+            if not match:
+                return self._count
+            if self._needs_fallback(match, None):
+                return len(self._scan(match, None, None))
+            clause = self._where(match, None)
+            if clause is None:
+                return 0
+            where, args = clause
+            return self._db.execute(
+                "SELECT COUNT(*) FROM %s%s" % (self._table, where), args
+            ).fetchone()[0]
 
     def clear(self) -> None:
         """Drop every document; ``_id`` assignment continues monotonically."""
@@ -456,6 +487,7 @@ class SQLiteDocumentStore:
                     "WHERE store = ?",
                     (self.name,),
                 )
+            self._count = 0
             self._g_docs.set(0)
 
     # ------------------------------------------------------------------
@@ -537,11 +569,6 @@ class SQLiteDocumentStore:
         )
         self._indexed.add(fname)
         self._g_sql_indexes.set(len(self._indexed))
-
-    def _count_locked(self) -> int:
-        return self._db.execute(
-            "SELECT COUNT(*) FROM %s" % self._table
-        ).fetchone()[0]
 
     @staticmethod
     def _decode(doc_json: str) -> ReadOnlyDocument:

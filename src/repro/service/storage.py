@@ -701,6 +701,10 @@ class AnomalyStorage:
     def store(self, anomaly_dict: Dict[str, Any]) -> int:
         return self._store.insert(anomaly_dict)
 
+    def store_many(self, anomaly_dicts: Iterable[Dict[str, Any]]) -> List[int]:
+        """Store a batch with one ``insert_many`` (one SQLite transaction)."""
+        return self._store.insert_many(anomaly_dicts)
+
     def all(self) -> List[Dict[str, Any]]:
         return self._store.query()
 

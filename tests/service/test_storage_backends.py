@@ -203,6 +203,58 @@ class TestBackendSurfaceEquivalence:
         finally:
             db.close()
 
+    def test_match_count_agrees_without_decoding(self, tmp_path, monkeypatch):
+        """``count(match)`` runs in SQL on indexed fields, decoding no
+        document, and keeps the linear semantics on poisoned fields."""
+        rng = random.Random(5)
+        docs = randomized_docs(rng, 200)
+        for n, doc in enumerate(docs):
+            if n % 7 == 0:
+                doc["tag"] = ["x"] if n % 2 else "x"  # poisons "tag"
+        docs.append({"source": "src-1", "ts": "noon"})  # mixed-kind ts
+        oracle, subject, db = self._pair(tmp_path)
+        try:
+            oracle.insert_many(docs)
+            subject.insert_many(docs)
+            stored = oracle.query()
+            decoded = []
+            decode = SQLiteDocumentStore._decode
+            monkeypatch.setattr(
+                SQLiteDocumentStore,
+                "_decode",
+                staticmethod(lambda text: decoded.append(text) or decode(text)),
+            )
+            indexed = [
+                {},
+                {"source": "src-1"},
+                {"source": "src-2", "type": "a"},
+                {"source": None},            # matches missing too
+                {"type": None, "source": "src-3"},
+                {"missing_field": None},     # no column: matches all
+                {"missing_field": "x"},      # no column: matches none
+                {"ts": 5},
+                {"ts": "noon"},
+                {"n": 7.0},                  # 7 == 7.0 in both
+            ]
+            for match in indexed:
+                want = len(brute_force(stored, match=match))
+                assert subject.count(match=match) == want, match
+                assert oracle.count(match=match) == want, match
+            assert decoded == []
+            poisoned = [
+                {"tag": "x"},
+                {"tag": ["x"]},
+                {"tag": None, "source": "src-0"},
+                {"source": ["not", "hashable"]},  # unhashable probe
+                {"source": True},
+            ]
+            for match in poisoned:
+                want = len(brute_force(stored, match=match))
+                assert subject.count(match=match) == want, match
+                assert oracle.count(match=match) == want, match
+        finally:
+            db.close()
+
     def test_distinct_and_get_agree(self, tmp_path):
         oracle, subject, db = self._pair(tmp_path)
         try:
