@@ -19,7 +19,7 @@ timeout can be exercised without wall-clock delay.
 
 Determinism: rule counters are per-rule and lock-protected, so a serial
 streaming context replays the exact same failure schedule every run.
-Under ``parallel=True`` the *set* of injected failures is still exact;
+Under ``execution="threads"`` the *set* of injected failures is still exact;
 only their interleaving across partitions varies.
 """
 

@@ -16,9 +16,9 @@ Three primitives cover the system's needs:
   interpolated quantiles (p50/p95/p99), the shape Prometheus popularised.
 
 All three are safe under free-threaded access: the streaming engine runs
-operators on a thread pool (``StreamingContext(parallel=True)``), so every
-mutation takes the metric's lock — plain ``+=`` on an int can lose updates
-across bytecode boundaries.
+operators on a thread pool (``StreamingContext(execution="threads")``), so
+every mutation takes the metric's lock — plain ``+=`` on an int can lose
+updates across bytecode boundaries.
 
 A :class:`MetricsRegistry` names metrics and attaches labels (bounded
 cardinality only: topic, partition, consumer group — never per-record

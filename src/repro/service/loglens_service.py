@@ -42,7 +42,6 @@ import time as _time
 
 from ..alerts import AlertEvaluator, AlertHistory
 from ..core.anomaly import Anomaly
-from ..errors import DeprecationError
 from ..faults import ManualClock
 from ..obs import NullRegistry, get_registry
 from ..parsing.parser import FastLogParser, ParsedLog, PatternModel
@@ -446,11 +445,7 @@ class LogLensService:
     See :class:`~repro.service.config.ServiceConfig` for every knob
     (partitions, heartbeat cadence, expiry, metrics, retry, faults,
     storage, network-ingestion limits, and alerting) — or build one
-    from a declarative file with ``ServiceConfig.from_file``.  The
-    pre-config keyword arguments (``LogLensService(num_partitions=8,
-    ...)``) completed their deprecation cycle and now raise
-    :class:`~repro.errors.DeprecationError` naming the config field to
-    use; mixing ``config=`` with legacy keywords is an error.
+    from a declarative file with ``ServiceConfig.from_file``.
 
     Storage note: when a persistent database already holds model
     versions from an earlier run, the latest models are republished into
@@ -459,19 +454,9 @@ class LogLensService:
     archive.  Call :meth:`close` to checkpoint and release the database.
     """
 
-    def __init__(
-        self,
-        config: Optional[ServiceConfig] = None,
-        **legacy_kwargs: Any,
-    ) -> None:
-        if config is not None and legacy_kwargs:
-            raise TypeError(
-                "pass either config=ServiceConfig(...) or legacy keyword "
-                "arguments, not both (got config plus %s)"
-                % ", ".join(sorted(legacy_kwargs))
-            )
+    def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         if config is None:
-            config = ServiceConfig.from_kwargs(**legacy_kwargs)
+            config = ServiceConfig()
         #: The frozen construction parameters of this service.
         self.config = config
         num_partitions = config.num_partitions
@@ -1090,21 +1075,4 @@ class LogLensService:
             ),
             metrics=self.metrics.to_dict() if include_metrics else None,
             sections=sections,
-        )
-
-    # ------------------------------------------------------------------
-    # Retired aliases (pre-report() surface; warning cycle completed)
-    # ------------------------------------------------------------------
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """Removed: use :meth:`report` (``report().metrics``)."""
-        raise DeprecationError(
-            "LogLensService.metrics_snapshot()",
-            "LogLensService.report().metrics",
-        )
-
-    def stats(self) -> Dict[str, Any]:
-        """Removed: use :meth:`report` (``report().counters()``)."""
-        raise DeprecationError(
-            "LogLensService.stats()",
-            "LogLensService.report(include_metrics=False).counters()",
         )

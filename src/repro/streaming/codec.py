@@ -508,8 +508,8 @@ class DecodedRecords(_RecordColumns):
     The frame's columns are parsed once up front (cheap array reads off
     the ``memoryview``); the :class:`StreamRecord` objects themselves
     are only built as the caller walks the bucket.  No column keeps a
-    reference into the source buffer, so a shared-memory frame may be
-    overwritten or its arena closed as soon as the constructor returns.
+    reference into the source buffer, so the frame may be released as
+    soon as the constructor returns.
     """
 
     __slots__ = ()
@@ -542,10 +542,10 @@ class DecodedEmits(Sequence):
 
 
 def decode_records(buf: Any) -> DecodedRecords:
-    """Decode a records frame (from a shm view or pipe bytes)."""
+    """Decode a records frame (bytes or any buffer)."""
     return DecodedRecords(buf)
 
 
 def decode_emits(buf: Any) -> DecodedEmits:
-    """Decode an emissions frame (from a shm view or pipe bytes)."""
+    """Decode an emissions frame (bytes or any buffer)."""
     return DecodedEmits(buf)

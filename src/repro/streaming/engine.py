@@ -50,14 +50,13 @@ from typing import (
     Union,
 )
 
-from ..errors import DeprecationError, PartitioningError
+from ..errors import PartitioningError
 from ..faults.clock import ManualClock
 from ..obs import Counter, MetricsRegistry, get_registry
 from .broadcast import BlockManager, BroadcastManager, BroadcastVariable
 from .execution import (
     ExecutionBackend,
     PartitionExecutor,
-    ThreadBackend,
     resolve_backend,
 )
 from .partitioner import HashPartitioner, HeartbeatAwarePartitioner, partition_records
@@ -263,20 +262,6 @@ class DStream:
         """Terminal side-effecting consumer."""
         return self._attach("sink", fn)
 
-    def collect(self) -> "CollectedRecords":
-        """Removed: use :meth:`collector` (warning cycle completed).
-
-        ``collector()`` is the documented terminal API — its
-        ``snapshot()``/``drain()`` make the copy semantics explicit, and
-        ``collector().view()`` reproduces exactly what ``collect()``
-        used to return.
-        """
-        raise DeprecationError(
-            "DStream.collect()",
-            "DStream.collector() (read with .snapshot()/.drain(), or "
-            ".view() for the old sequence surface)",
-        )
-
     def collector(self) -> Collector:
         """Terminal sink into a :class:`Collector` (snapshot semantics).
 
@@ -340,9 +325,6 @@ class StreamingContext:
         ``"processes"`` runs each partition in a long-lived worker
         process — operator functions must be picklable; see
         ``docs/PARALLELISM.md``.
-    parallel:
-        Legacy alias for ``execution="threads"``.  Conflicting
-        combinations raise ``ValueError``.
     retry_policy:
         Re-execute failing operator calls per this policy; records that
         exhaust it are quarantined instead of aborting the batch.  With
@@ -362,12 +344,11 @@ class StreamingContext:
         self,
         num_partitions: int = 4,
         partitioner: Optional[HashPartitioner] = None,
-        parallel: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         retry_policy: Optional[RetryPolicy] = None,
         dead_letter: Optional[Callable[[QuarantinedRecord], None]] = None,
         fault_plan: Optional[Any] = None,
-        execution: Union[str, ExecutionBackend, None] = None,
+        execution: Union[str, ExecutionBackend] = "serial",
     ) -> None:
         if num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
@@ -433,15 +414,6 @@ class StreamingContext:
             on_backoff=self._retry_backoff_seconds.observe,
             on_quarantine=self._record_quarantined,
         )
-        if execution is None:
-            execution = "threads" if parallel else "serial"
-        elif parallel and not (
-            execution == "threads" or isinstance(execution, ThreadBackend)
-        ):
-            raise ValueError(
-                "parallel=True conflicts with execution=%r; drop the "
-                "legacy flag or pass execution='threads'" % (execution,)
-            )
         self._backend = resolve_backend(execution)
         self._backend.attach(self)
         #: Resolved backend name ("serial" | "threads" | "processes").

@@ -5,8 +5,8 @@ schedules over is abstracted behind an :class:`ExecutionBackend`:
 
 * :class:`SerialBackend` — partitions run inline on the driver thread,
   bit-identical to the engine's historical default;
-* :class:`ThreadBackend` — partitions run on a thread pool (the old
-  ``parallel=True``), overlapping I/O but still GIL-bound;
+* :class:`ThreadBackend` — partitions run on a thread pool,
+  overlapping I/O but still GIL-bound;
 * :class:`ProcessBackend` — each partition runs in a **long-lived worker
   process** (``multiprocessing`` spawn context).  Workers keep their
   :class:`~repro.streaming.engine.WorkerContext` / state maps resident
@@ -16,14 +16,11 @@ schedules over is abstracted behind an :class:`ExecutionBackend`:
   counters, and fault-plan/clock bookkeeping which the driver replays
   so observable semantics match serial execution.
 
-With the default ``transport="shm"`` the bulk payloads — record buckets
-going out, sink emissions coming back — travel as single columnar
-frames (:mod:`repro.streaming.codec`) through per-worker shared-memory
-arenas (:mod:`repro.streaming.shm`); only a tiny frame descriptor plus
-the control metadata (deltas, fault-plan state, clock readings,
-counters) crosses the pipe.  ``transport="pickle"`` preserves the PR 8
-wire format (whole buckets pickled through the pipe), kept for
-benchmark comparison.  While a fault plan has a live call-ordinal
+The bulk payloads — record buckets going out, sink emissions coming
+back — travel inline over each worker's ``Pipe`` as single columnar
+frames (:mod:`repro.streaming.codec`); the control metadata (broadcast
+deltas, fault-plan state, clock readings, counters) is pickled beside
+them in the same message.  While a fault plan has a live call-ordinal
 budget (``fail_first``/``fail_nth``), partitions are chained
 sequentially in partition order so budget counting is *exactly* the
 serial schedule even across partitions; once every budget is spent the
@@ -62,7 +59,6 @@ from ..faults.clock import ManualClock
 from .codec import decode_emits, decode_records, encode_emits, encode_records
 from .records import StreamRecord
 from .retry import QuarantinedRecord, RetryPolicy
-from .shm import FRAME_OVERHEAD, ShmArena, grown_capacity
 
 __all__ = [
     "EXECUTION_BACKENDS",
@@ -308,7 +304,7 @@ class SerialBackend(ExecutionBackend):
 
 
 class ThreadBackend(ExecutionBackend):
-    """Partitions run on a thread pool (the old ``parallel=True``)."""
+    """Partitions run on a thread pool."""
 
     name = "threads"
 
@@ -355,10 +351,6 @@ class _WorkerInit:
     retry_policy: Optional[RetryPolicy]
     fault_plan: Optional[Any]
     broadcast_values: Dict[int, Any]
-    #: Shared-memory segment names (driver -> worker / worker -> driver);
-    #: ``None`` for the pickle transport.
-    shm_in: Optional[str] = None
-    shm_out: Optional[str] = None
 
 
 @dataclass
@@ -366,7 +358,8 @@ class RemoteBatchResult:
     """What one worker process returns for one micro-batch."""
 
     partition_id: int
-    #: Captured sink emissions, in execution order.
+    #: Captured sink emissions, in execution order.  They cross the pipe
+    #: as a codec frame beside the result; the driver decodes them here.
     emitted: List[Tuple[int, StreamRecord]] = field(default_factory=list)
     quarantined: List[QuarantinedRecord] = field(default_factory=list)
     retries: int = 0
@@ -425,27 +418,11 @@ class ProcessBackend(ExecutionBackend):
 
     name = "processes"
 
-    def __init__(
-        self, mp_context: str = "spawn", transport: str = "shm"
-    ) -> None:
+    def __init__(self, mp_context: str = "spawn") -> None:
         super().__init__()
-        if transport not in ("shm", "pickle"):
-            raise ValueError(
-                "unknown process transport %r; expected 'shm' or "
-                "'pickle'" % (transport,)
-            )
         self._mp_context = mp_context
-        self._transport = transport
         self._procs: List[Any] = []
         self._conns: List[Any] = []
-        #: Driver-owned arenas: record buckets out, emissions back.  All
-        #: segments are created *and unlinked* here so a worker killed
-        #: mid-batch can never strand one.
-        self._in_arenas: List[ShmArena] = []
-        self._out_arenas: List[ShmArena] = []
-        #: Out-arena growth pending announcement on the next batch
-        #: message, per partition: ``(segment_name, capacity)``.
-        self._pending_out: List[Optional[Tuple[str, int]]] = []
         #: Broadcast versions already synced to the workers (all workers
         #: receive identical deltas, so one map covers the fleet).
         self._synced_versions: Dict[int, int] = {}
@@ -471,12 +448,7 @@ class ProcessBackend(ExecutionBackend):
         self._synced_versions = {
             bv_id: version for bv_id, (version, _) in snapshot.items()
         }
-        shm = self._transport == "shm"
         for partition_id in range(ctx.num_partitions):
-            if shm:
-                self._in_arenas.append(ShmArena.create())
-                self._out_arenas.append(ShmArena.create())
-                self._pending_out.append(None)
             parent_conn, child_conn = mp.Pipe()
             proc = mp.Process(
                 target=_worker_main,
@@ -494,12 +466,10 @@ class ProcessBackend(ExecutionBackend):
                 retry_policy=ctx.retry_policy,
                 fault_plan=ctx._fault_plan,
                 broadcast_values=values,
-                shm_in=self._in_arenas[-1].name if shm else None,
-                shm_out=self._out_arenas[-1].name if shm else None,
             )
             self._send(partition_id, ("init", init))
         for partition_id in range(ctx.num_partitions):
-            self._recv(partition_id)  # "ready" ack (or startup error)
+            self._result(partition_id)  # "ready" ack (or startup error)
 
     def shutdown(self) -> None:
         if self.closed:
@@ -524,16 +494,8 @@ class ProcessBackend(ExecutionBackend):
             )
         for conn in self._conns:
             conn.close()
-        # Unlink every arena — including on the terminate path above,
-        # where workers never got to close their mappings (the kernel
-        # drops those with the process; unlink here removes the name).
-        for arena in self._in_arenas + self._out_arenas:
-            arena.close()
         self._procs = []
         self._conns = []
-        self._in_arenas = []
-        self._out_arenas = []
-        self._pending_out = []
 
     # -- wire helpers --------------------------------------------------
     def _send(self, partition_id: int, message: Any) -> None:
@@ -551,14 +513,19 @@ class ProcessBackend(ExecutionBackend):
                 "backend)" % (message[0], partition_id, exc)
             ) from exc
 
-    def _recv(self, partition_id: int) -> Any:
+    def _recv(self, partition_id: int) -> Tuple[str, Any]:
+        """Block on one worker's ``(tag, payload)`` reply."""
         try:
-            tag, payload = self._conns[partition_id].recv()
+            return self._conns[partition_id].recv()
         except (EOFError, OSError) as exc:
             raise ExecutionError(
                 "worker process for partition %d died mid-request"
                 % partition_id
             ) from exc
+
+    def _result(self, partition_id: int) -> Any:
+        """One worker's reply payload; a shipped exception re-raises."""
+        tag, payload = self._recv(partition_id)
         if tag == "error":
             raise payload
         return payload
@@ -576,27 +543,6 @@ class ProcessBackend(ExecutionBackend):
         }
         return deltas
 
-    def _ship_bucket(self, partition_id: int, frame: bytes) -> Any:
-        """Place one encoded bucket; return the wire reference.
-
-        Prefers the partition's in-arena, growing it (new segment, old
-        one unlinked) when the frame outgrows the current capacity, and
-        falling back to shipping the frame inline over the pipe past
-        the growth cap.
-        """
-        arena = self._in_arenas[partition_id]
-        placed = arena.write(frame)
-        if placed is not None:
-            return ("frame", placed[0], placed[1])
-        capacity = grown_capacity(len(frame))
-        if capacity < len(frame) + FRAME_OVERHEAD:
-            return ("inline", frame)
-        grown = ShmArena.create(capacity)
-        arena.close()
-        self._in_arenas[partition_id] = grown
-        offset, length = grown.write(frame)
-        return ("grow", grown.name, capacity, offset, length)
-
     def _send_batch(
         self,
         partition_id: int,
@@ -605,44 +551,17 @@ class ProcessBackend(ExecutionBackend):
         plan_sent: Optional[Any],
         clock_now: Optional[float],
     ) -> None:
-        if self._transport == "shm":
-            ref = self._ship_bucket(partition_id, encode_records(bucket))
-            out_spec = self._pending_out[partition_id]
-            self._pending_out[partition_id] = None
-        else:
-            ref = ("records", bucket)
-            out_spec = None
         self._send(
             partition_id,
-            ("batch", ref, out_spec, deltas, plan_sent, clock_now),
+            ("batch", encode_records(bucket), deltas, plan_sent, clock_now),
         )
 
-    def _decode_outcome(
-        self, partition_id: int, payload: Any
-    ) -> RemoteBatchResult:
-        """Materialise one worker reply's emissions from its reference."""
-        ref, result = payload
-        if ref is None:
-            return result
-        if ref[0] == "frame":
-            view = self._out_arenas[partition_id].read(ref[1], ref[2])
-            try:
-                result.emitted = decode_emits(view)
-            finally:
-                view.release()
-            return result
-        # ("inline", frame, needed): the emissions outgrew the worker's
-        # out-arena.  Decode from the pipe copy now and grow the arena
-        # for the next batch (announced via the batch message, so the
-        # worker re-attaches before writing again).
-        _, frame, needed = ref
-        result.emitted = decode_emits(frame)
-        capacity = grown_capacity(needed)
-        if capacity >= needed + FRAME_OVERHEAD:
-            grown = ShmArena.create(capacity)
-            self._out_arenas[partition_id].close()
-            self._out_arenas[partition_id] = grown
-            self._pending_out[partition_id] = (grown.name, capacity)
+    @staticmethod
+    def _decode_outcome(payload: Any) -> RemoteBatchResult:
+        """Materialise one worker reply's emissions from its frame."""
+        frame, result = payload
+        if frame is not None:
+            result.emitted = decode_emits(frame)
         return result
 
     def run_batch(self, buckets: List[List[StreamRecord]]) -> None:
@@ -665,28 +584,34 @@ class ProcessBackend(ExecutionBackend):
                 self._send_batch(
                     partition_id, bucket, deltas, plan_sent, clock_now
                 )
-                outcome = self._decode_outcome(
-                    partition_id, self._recv(partition_id)
-                )
+                outcome = self._decode_outcome(self._result(partition_id))
                 ctx._absorb_remote(outcome, plan_sent)
             return
         plan_sent = plan.sync_state() if plan is not None else None
         clock_now = clock.monotonic() if manual else None
-        for partition_id, bucket in enumerate(buckets):
-            self._send_batch(
-                partition_id, bucket, deltas, plan_sent, clock_now
-            )
-        outcomes = [
-            self._decode_outcome(partition_id, self._recv(partition_id))
-            for partition_id in range(len(buckets))
-        ]
-        for outcome in outcomes:
-            ctx._absorb_remote(outcome, plan_sent)
+        # Every partition sent a batch has its reply read before any
+        # error propagates: a reply left in its pipe would answer the
+        # next batch's ``recv`` with this batch's emissions.
+        sent = 0
+        try:
+            for partition_id, bucket in enumerate(buckets):
+                self._send_batch(
+                    partition_id, bucket, deltas, plan_sent, clock_now
+                )
+                sent += 1
+        finally:
+            replies = [self._recv(partition_id)
+                       for partition_id in range(sent)]
+        for tag, payload in replies:
+            if tag == "error":
+                raise payload
+        for _, payload in replies:
+            ctx._absorb_remote(self._decode_outcome(payload), plan_sent)
 
     def call(self, partition_id: int, fn: Callable[[Any], Any]) -> Any:
         self._ensure_started()
         self._send(partition_id, ("call", fn))
-        return self._recv(partition_id)
+        return self._result(partition_id)
 
 
 def resolve_backend(execution: Any) -> ExecutionBackend:
@@ -720,12 +645,6 @@ class _WorkerProcessState:
         self.worker = WorkerContext(
             init.partition_id, BlockManager(init.partition_id)
         )
-        self.arena_in = (
-            ShmArena.attach(init.shm_in) if init.shm_in else None
-        )
-        self.arena_out = (
-            ShmArena.attach(init.shm_out) if init.shm_out else None
-        )
         for bv_id, value in init.broadcast_values.items():
             self.worker.block_manager.put(bv_id, value)
         self.retry_policy = init.retry_policy
@@ -746,65 +665,19 @@ class _WorkerProcessState:
     def _count_retry(self) -> None:
         self.retries += 1
 
-    def resolve_records(self, ref: Any) -> Sequence[StreamRecord]:
-        """Turn a batch message's bucket reference into records."""
-        kind = ref[0]
-        if kind == "records":  # pickle transport: the bucket itself
-            return ref[1]
-        if kind == "inline":  # frame too big for any arena
-            return decode_records(ref[1])
-        if kind == "grow":  # driver replaced the in-arena
-            _, name, _capacity, offset, length = ref
-            if self.arena_in is not None:
-                self.arena_in.close()
-            self.arena_in = ShmArena.attach(name)
-            ref = ("frame", offset, length)
-        view = self.arena_in.read(ref[1], ref[2])
-        try:
-            return decode_records(view)
-        finally:
-            view.release()
-
-    def reattach_out(self, name: str, _capacity: int) -> None:
-        """Adopt a grown out-arena announced by the driver."""
-        if self.arena_out is not None:
-            self.arena_out.close()
-        self.arena_out = ShmArena.attach(name)
-
-    def pack_emits(self, result: "RemoteBatchResult") -> Any:
-        """Move captured emissions into the out-arena; return the ref.
-
-        Returns ``None`` for the pickle transport (emissions stay in
-        the result) and for empty batches.  An ``("inline", frame,
-        needed)`` reference ships the frame over the pipe and asks the
-        driver to grow the out-arena before the next batch.
-        """
-        if self.arena_out is None:
-            return None
-        emitted = result.emitted
-        result.emitted = []
-        if not emitted:
-            return None
-        frame = encode_emits(emitted)
-        placed = self.arena_out.write(frame)
-        if placed is None:
-            return ("inline", frame, len(frame))
-        return ("frame", placed[0], placed[1])
-
-    def close(self) -> None:
-        """Drop this process's arena mappings (driver owns unlinking)."""
-        if self.arena_in is not None:
-            self.arena_in.close()
-        if self.arena_out is not None:
-            self.arena_out.close()
-
     def run_batch(
         self,
-        records: Sequence[StreamRecord],
+        frame: bytes,
         broadcast_deltas: List[Tuple[int, Any]],
         plan_state: Optional[Any],
         clock_now: Optional[float],
-    ) -> RemoteBatchResult:
+    ) -> Tuple[Optional[bytes], RemoteBatchResult]:
+        """Run one batch; return its emissions frame and bookkeeping.
+
+        The frame is ``None`` when the batch emitted nothing; otherwise
+        the result's ``emitted`` list travels encoded in it.
+        """
+        records = decode_records(frame)
         for bv_id, value in broadcast_deltas:
             self.worker.block_manager.put(bv_id, value)
         plan = self.fault_plan
@@ -823,6 +696,8 @@ class _WorkerProcessState:
         self.backoffs.clear()
         self.retries = 0
         self.executor.run_partition(self.worker, records)
+        emitted = self.executor.emitted
+        emits_frame = encode_emits(emitted) if emitted else None
         sleeps: List[float] = []
         advanced = 0.0
         if manual:
@@ -832,9 +707,8 @@ class _WorkerProcessState:
                 (clock.monotonic() - clock_before)
                 - sum(max(0.0, s) for s in sleeps),
             )
-        return RemoteBatchResult(
+        return emits_frame, RemoteBatchResult(
             partition_id=self.worker.partition_id,
-            emitted=self.executor.emitted,
             quarantined=list(self.quarantined),
             retries=self.retries,
             backoffs=list(self.backoffs),
@@ -880,14 +754,7 @@ def _worker_main(conn: Any) -> None:
                 state = _WorkerProcessState(message[1])
                 _reply(conn, ("ready", None))
             elif kind == "batch":
-                _, ref, out_spec, deltas, plan_state, clock_now = message
-                if out_spec is not None:
-                    state.reattach_out(*out_spec)
-                result = state.run_batch(
-                    state.resolve_records(ref), deltas, plan_state,
-                    clock_now,
-                )
-                _reply(conn, ("ok", (state.pack_emits(result), result)))
+                _reply(conn, ("ok", state.run_batch(*message[1:])))
             elif kind == "call":
                 _reply(conn, ("ok", message[1](state.worker)))
             else:  # pragma: no cover - protocol guard
@@ -900,6 +767,4 @@ def _worker_main(conn: Any) -> None:
                 _reply(conn, ("error", exc))
             except Exception:  # pragma: no cover - defensive
                 break
-    if state is not None:
-        state.close()
     conn.close()

@@ -170,8 +170,8 @@ class TestModelUpdates:
 class TestParallelMode:
     def test_parallel_execution_matches_sequential(self):
         results = []
-        for parallel in (False, True):
-            ctx = StreamingContext(num_partitions=4, parallel=parallel)
+        for execution in ("serial", "threads"):
+            ctx = StreamingContext(num_partitions=4, execution=execution)
             out = ctx.source().map(
                 lambda r, w: StreamRecord(value=r.value * 3, key=r.key)
             ).collector().view()

@@ -23,8 +23,8 @@ class TestParallelStateful:
             for _ in range(4)
         ]
         finals = []
-        for parallel in (False, True):
-            ctx = StreamingContext(num_partitions=4, parallel=parallel)
+        for execution in ("serial", "threads"):
+            ctx = StreamingContext(num_partitions=4, execution=execution)
             out = ctx.source().map_with_state(_counting_op).collector().view()
             for batch in batches:
                 ctx.run_batch(batch)
@@ -39,7 +39,7 @@ class TestParallelStateful:
         assert all(n >= 4 for n in finals[0].values())
 
     def test_parallel_heartbeat_fanout(self):
-        ctx = StreamingContext(num_partitions=4, parallel=True)
+        ctx = StreamingContext(num_partitions=4, execution="threads")
         hits = []
         lock = threading.Lock()
 

@@ -8,7 +8,10 @@ operator functions live at module level so ``spawn`` worker processes
 can unpickle them by import.
 """
 
+import os
 import random
+import signal
+import zlib
 
 import pytest
 
@@ -52,6 +55,12 @@ def count_by_key(record, state, worker):
 
 def always_boom(record, worker):
     raise RuntimeError("boom")
+
+
+def tenfold_unless_seven(record, worker):
+    if record.value == 7:
+        raise RuntimeError("seven")
+    return StreamRecord(value=record.value * 10, key=record.key)
 
 
 def poison_seven(record):
@@ -269,6 +278,60 @@ class TestFaultEquivalence:
         assert exc.value.record.value == 7
         ctx.shutdown()
 
+    @staticmethod
+    def key_on(partition, partitions=2):
+        """A record key the default partitioner routes to ``partition``."""
+        i = 0
+        while zlib.crc32(("k%d" % i).encode()) % partitions != partition:
+            i += 1
+        return "k%d" % i
+
+    @pytest.mark.parametrize("on_exhaust", [None, "raise"])
+    def test_batch_after_a_raising_batch_sees_only_its_own_output(
+        self, on_exhaust
+    ):
+        """A batch that raises on partition 0 while partition 1 emits
+        must not leak partition 1's emissions into the next batch: the
+        process backend reads every reply before re-raising."""
+        first = self.key_on(0)
+        second = self.key_on(1)
+        failing = [StreamRecord(value=7, key=first)] + [
+            StreamRecord(value=v, key=second) for v in (1, 2, 3)
+        ]
+        healthy = [
+            StreamRecord(value=v, key=key)
+            for v, key in ((100, first), (101, second), (102, first),
+                           (103, second))
+        ]
+
+        def run(execution):
+            policy = (
+                None
+                if on_exhaust is None
+                else RetryPolicy.no_wait(max_attempts=2, on_exhaust="raise")
+            )
+            ctx = StreamingContext(
+                num_partitions=2,
+                metrics=MetricsRegistry(),
+                execution=execution,
+                retry_policy=policy,
+            )
+            out = ctx.source().map(tenfold_unless_seven).collector()
+            expected = (
+                RuntimeError if on_exhaust is None else QuarantinedRecordError
+            )
+            with pytest.raises(expected):
+                ctx.run_batch(failing)
+            out.clear()
+            ctx.run_batch(healthy)
+            values = [r.value for r in out.snapshot()]
+            ctx.shutdown()
+            return values
+
+        serial = run("serial")
+        assert serial == [1000, 1020, 1010, 1030]
+        assert run("processes") == serial
+
     def test_plain_operator_exception_propagates(self):
         """No policy: the worker's exception crosses the pipe intact."""
         ctx = StreamingContext(
@@ -324,21 +387,33 @@ class TestLifecycle:
             ctx.call_partition(2, state_items)
         ctx.shutdown()
 
-    def test_legacy_parallel_flag_maps_to_threads(self):
+    def test_terminate_fallback_counts(self):
+        """A worker that cannot honour "stop" is terminated, and the
+        fallback is visible via the obs counter."""
+        registry = MetricsRegistry()
         ctx = StreamingContext(
-            num_partitions=2, metrics=MetricsRegistry(), parallel=True
+            num_partitions=2, metrics=registry, execution="processes"
         )
-        assert ctx.execution == "threads"
-        ctx.shutdown()
-
-    def test_parallel_flag_conflicts_with_other_backend(self):
-        with pytest.raises(ValueError):
-            StreamingContext(
-                num_partitions=2,
-                metrics=MetricsRegistry(),
-                parallel=True,
-                execution="processes",
-            )
+        ctx.source().map(double).collector()
+        ctx.run_batch(workload(n=4))
+        victim = ctx._backend._procs[0]
+        real_join = victim.join
+        # SIGSTOP one worker: it can neither honour "stop" nor exit, so
+        # shutdown's join times out and the terminate fallback fires.
+        os.kill(victim.pid, signal.SIGSTOP)
+        try:
+            victim.join = lambda timeout=None: None  # skip the 5s waits
+            ctx.shutdown()
+        finally:
+            try:
+                os.kill(victim.pid, signal.SIGCONT)
+            except ProcessLookupError:
+                pass
+        real_join(timeout=5)
+        assert not victim.is_alive()
+        assert (
+            registry.counter("execution.worker_terminated").value == 1
+        )
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):

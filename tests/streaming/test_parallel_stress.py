@@ -68,7 +68,8 @@ class TestParallelSharedParserStress:
     def test_no_lost_records_and_consistent_counters(self):
         metrics = MetricsRegistry()
         ctx = StreamingContext(
-            num_partitions=NUM_PARTITIONS, parallel=True, metrics=metrics
+            num_partitions=NUM_PARTITIONS, execution="threads",
+            metrics=metrics,
         )
         parser_bv = ctx.broadcast(
             FastLogParser(_model(), metrics=metrics)
